@@ -226,8 +226,7 @@ type MachineOption func(*Machine)
 
 // NewMachine builds a Machine of the given size, applying opts. Unset
 // fields keep their zero values and are defaulted at run time (crossbar
-// topology, Paragon costs, auto barrier selection), so a NewMachine
-// result composes cleanly with the Options-level WithCosts.
+// topology, Paragon costs, auto barrier selection).
 func NewMachine(nodes int, opts ...MachineOption) Machine {
 	m := Machine{Nodes: nodes}
 	for _, fn := range opts {
@@ -281,24 +280,12 @@ func NewOptions(p Protocol, opts ...Option) Options {
 	return o
 }
 
-// WithMachine installs a Machine configuration (see NewMachine). It is
-// the preferred way to size and shape the simulated machine; explicitly
-// set Machine fields override the legacy WithProcs/WithMesh/WithCosts
-// settings.
+// WithMachine installs a Machine configuration (see NewMachine): the
+// machine's size, topology, cost model, and barrier algorithm.
 func WithMachine(m Machine) Option { return func(o *Options) { o.Machine = m } }
-
-// WithProcs sets the machine size (number of nodes).
-//
-// Deprecated: use WithMachine(NewMachine(n)). Kept as a thin wrapper
-// over the legacy Options.NumProcs field, which Options.Defaults
-// reconciles into Options.Machine.
-func WithProcs(n int) Option { return func(o *Options) { o.NumProcs = n } }
 
 // WithPageBytes sets the SVM page size in bytes.
 func WithPageBytes(n int) Option { return func(o *Options) { o.PageBytes = n } }
-
-// WithCosts replaces the machine cost model.
-func WithCosts(c Costs) Option { return func(o *Options) { o.Costs = c } }
 
 // WithGCThreshold sets the homeless protocols' garbage-collection
 // trigger (bytes of protocol memory per node).
@@ -310,15 +297,6 @@ func WithGCThreshold(bytes int64) Option {
 // duplication, delay, node slowdowns, crashes).
 func WithFaults(p FaultPlan) Option { return func(o *Options) { o.Fault = p } }
 
-// WithMesh models the Paragon's 2-D wormhole mesh at link granularity
-// (XY routing, per-hop latency, per-link occupancy) instead of the
-// default crossbar. Plans with link-level faults (FaultPlan.LinkDrop,
-// LinkJitter, LinkFails) enable the mesh automatically.
-//
-// Deprecated: use WithMachine(NewMachine(n, WithTopology(TopoMesh))).
-// Kept as a thin wrapper over the legacy Options.Mesh field.
-func WithMesh() Option { return func(o *Options) { o.Mesh = true } }
-
 // WithReplication mirrors each home's page state onto its k successor
 // nodes so a crashed home's pages can be re-homed (home-based protocols
 // only). The same backups shadow the node's synchronization-manager
@@ -329,13 +307,6 @@ func WithMesh() Option { return func(o *Options) { o.Mesh = true } }
 // manager roles are in use is fatal.
 func WithReplication(k int) Option {
 	return func(o *Options) { o.Recovery.Replicas = k }
-}
-
-// WithCheckpointEvery switches replication from eager diff mirroring to
-// periodic checkpointing every d of simulated time (requires
-// WithReplication).
-func WithCheckpointEvery(d Time) Option {
-	return func(o *Options) { o.Recovery.CheckpointEvery = d }
 }
 
 // WithRunWorkers sets the number of host threads driving one simulation
@@ -438,9 +409,8 @@ func Sequential(app App, pageBytes int) (*Result, error) {
 func Speedup(opts Options, mk func() App) (float64, *Result, *Result, error) {
 	seq, err := core.Run(Options{
 		Protocol:  Seq,
-		NumProcs:  1,
 		PageBytes: opts.PageBytes,
-		Costs:     opts.Costs,
+		Machine:   Machine{Nodes: 1, Costs: opts.Machine.Costs},
 	}, mk(), false)
 	if err != nil {
 		return 0, nil, nil, err

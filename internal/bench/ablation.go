@@ -80,11 +80,11 @@ func (r *Runner) AblationInterruptCost(w io.Writer, app string, procs int) {
 		costs.ReceiveInterrupt = intr * sim.Microsecond
 		if i%2 == 0 {
 			opts := r.baseOpts(core.ProtoLRC, procs)
-			opts.Costs = costs
+			opts.Machine.Costs = costs
 			ls[i/2] = r.runWith(app, opts).Stats.Elapsed
 		} else {
 			opts := r.baseOpts(core.ProtoHLRC, procs)
-			opts.Costs = costs
+			opts.Machine.Costs = costs
 			hs[i/2] = r.runWith(app, opts).Stats.Elapsed
 		}
 	})
@@ -162,7 +162,7 @@ func (r *Runner) AblationOverlapLocks(w io.Writer, app string, procs int) (base,
 // 2-D wormhole mesh under HLRC.
 func (r *Runner) AblationMesh(w io.Writer, app string, procs int) (crossbar, meshTime sim.Time) {
 	opts := r.baseOpts(core.ProtoHLRC, procs)
-	opts.Mesh = true
+	opts.Machine.Topology = core.TopoMesh
 	r.inParallel(
 		func() { crossbar = r.Run(app, core.ProtoHLRC, procs).Stats.Elapsed },
 		func() { meshTime = r.runWith(app, opts).Stats.Elapsed },

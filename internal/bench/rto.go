@@ -168,8 +168,8 @@ func (r *Runner) runMeshFaulted(app string, proto core.Protocol, procs int, plan
 		NumProcs:    procs,
 		PageBytes:   r.PageBytes,
 		GCThreshold: r.GCThreshold,
+		Machine:     core.Machine{Topology: core.TopoMesh},
 		Fault:       plan,
-		Mesh:        true,
 	}
 	r.acquire()
 	start := time.Now()

@@ -113,7 +113,7 @@ func (b *base) init(sys *System, self int, co coherence) {
 	b.memPool = mem.NewPool(sys.Space.PageWords)
 }
 
-func (b *base) costs() *paragon.Costs { return &b.sys.Opts.Costs }
+func (b *base) costs() *paragon.Costs { return &b.sys.Opts.Machine.Costs }
 
 // vecBytes is the protocol-memory charge for one per-page vector. The
 // accounting models the dense reservation (as the paper's prototypes

@@ -23,7 +23,6 @@ import (
 
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
-	"gosvm/internal/paragon"
 	"gosvm/internal/sim"
 	"gosvm/internal/vc"
 )
@@ -75,33 +74,21 @@ type Recovery struct {
 	// disables replication: a crash of a node that homes pages is then
 	// unrecoverable and the run fails with a NodeDeadError.
 	Replicas int
-
-	// CheckpointEvery switches from eager mirroring (every applied diff
-	// is forwarded to the replicas immediately) to periodic
-	// checkpointing: homes ship modified pages to their replicas every
-	// CheckpointEvery of simulated time, and writers retain flushed
-	// diffs in a local log until a checkpoint covers them, replaying
-	// them to the new home on recovery. Zero selects eager mirroring.
-	CheckpointEvery sim.Time
 }
-
-// Enabled reports whether home-state replication is requested (possibly
-// inconsistently; Run validates the combination).
-func (r *Recovery) Enabled() bool { return r.Replicas > 0 || r.CheckpointEvery > 0 }
 
 // Options configures a run.
 type Options struct {
-	Protocol  Protocol
+	Protocol Protocol
+
+	// NumProcs is the machine size. Defaults reconciles it with
+	// Machine.Nodes: an explicit Machine.Nodes wins, otherwise NumProcs
+	// seeds it, and the result is mirrored back so every reader of
+	// NumProcs sees the machine's size.
 	NumProcs  int
 	PageBytes int
-	Costs     paragon.Costs
 
 	// Machine describes the simulated multicomputer: size, topology,
-	// cost profile, and barrier algorithm. It is the preferred way to
-	// configure the machine; the flat NumProcs/Mesh/Costs fields above
-	// remain as a legacy view. Defaults reconciles the two: explicitly
-	// set Machine fields win, unset ones inherit the flat fields, and
-	// the result is mirrored back so both views agree.
+	// cost profile, and barrier algorithm.
 	Machine Machine
 
 	// GCThreshold is the per-node protocol memory (bytes) above which the
@@ -124,10 +111,6 @@ type Options struct {
 	// service were moved to the co-processor") but did not implement.
 	// Ignored for the non-overlapped protocols.
 	OverlapLocks bool
-
-	// Mesh models the Paragon's 2-D wormhole mesh at link granularity
-	// (XY routing, per-link occupancy) instead of the default crossbar.
-	Mesh bool
 
 	// TraceLimit enables protocol event tracing, retaining up to this
 	// many events (negative = unlimited). Zero disables tracing.
@@ -156,8 +139,8 @@ type Options struct {
 	RunWorkers int
 }
 
-// Defaults fills unset fields and reconciles the Machine block with the
-// legacy flat machine fields (NumProcs, Mesh, Costs).
+// Defaults fills unset fields and reconciles NumProcs with
+// Machine.Nodes.
 func (o *Options) Defaults() {
 	if o.Protocol == "" {
 		o.Protocol = ProtoHLRC
@@ -165,16 +148,8 @@ func (o *Options) Defaults() {
 	if o.Machine.Nodes == 0 {
 		o.Machine.Nodes = o.NumProcs
 	}
-	if o.Machine.Topology == "" && o.Mesh {
-		o.Machine.Topology = TopoMesh
-	}
-	if o.Machine.Costs == (paragon.Costs{}) {
-		o.Machine.Costs = o.Costs
-	}
 	o.Machine.Defaults()
 	o.NumProcs = o.Machine.Nodes
-	o.Mesh = o.Machine.Topology == TopoMesh
-	o.Costs = o.Machine.Costs
 	if o.PageBytes == 0 {
 		o.PageBytes = 4096
 	}
@@ -198,9 +173,7 @@ const (
 	kFetchPage               // faulting node -> copy holder / home
 	kDiffFlush               // writer -> home (HLRC), or coproc-to-home (OHLRC)
 	kMakeDiff                // compute -> own coproc (overlapped protocols)
-	kMirror                  // home -> replica: mirrored diff or checkpoint page
-	kCkptNote                // home -> writers: checkpoint coverage (prune diff logs)
-	kRecoverPull             // new home -> writers: replay logged diffs
+	kMirror                  // home -> replica: mirrored diff or full page image
 	kNodeDead                // recovery -> all: node declared dead, homes moved
 	kBarrierUp               // tree barrier: child -> parent subtree report
 	kBarrierDown             // tree barrier: parent -> child subtree release
@@ -309,10 +282,6 @@ func msgKindName(kind int) string {
 		return "make-diff"
 	case kMirror:
 		return "mirror"
-	case kCkptNote:
-		return "ckpt-note"
-	case kRecoverPull:
-		return "recover-pull"
 	case kNodeDead:
 		return "node-dead"
 	case kBarrierUp:

@@ -700,7 +700,7 @@ func TestAURCWriteThroughTraffic(t *testing.T) {
 // contention.
 func TestMeshOptionCorrectness(t *testing.T) {
 	opts := testOpts(ProtoHLRC, 8)
-	opts.Mesh = true
+	opts.Machine.Topology = TopoMesh
 	res := runOrFail(t, opts, multiWriterApp())
 	for i, v := range res.Data {
 		want := float64(100*(i%8) + i)

@@ -30,13 +30,9 @@ type hlrcEngine struct {
 	aurc       bool
 	pages      chunked[hlrcPage]
 
-	// Crash-recovery state (see recover.go). mirrors holds this node's
-	// replica copies of other homes' pages; dlog retains flushed diffs
-	// in checkpoint mode until a checkpoint covers them; ckptDirty
-	// tracks home pages modified since the last checkpoint shipped.
-	mirrors   map[int]*mirrorPage
-	dlog      map[int][]*diffFlush
-	ckptDirty map[int]bool
+	// Crash-recovery state (see recover.go): this node's replica copies
+	// of other homes' pages.
+	mirrors map[int]*mirrorPage
 
 	// lateInval holds pages a mid-interval write notice could not
 	// invalidate because they sit in the open interval (only lock
@@ -124,8 +120,6 @@ func newHomeEngine(sys *System, self int, overlapped, aurc bool) *hlrcEngine {
 	e.base.init(sys, self, e)
 	e.pages = newChunked[hlrcPage](sys.Space.NumPages())
 	e.mirrors = make(map[int]*mirrorPage)
-	e.dlog = make(map[int][]*diffFlush)
-	e.ckptDirty = make(map[int]bool)
 	e.node.InstallCompute(e.handleCompute)
 	e.node.InstallCoproc(e.handleCoproc)
 	return e
@@ -392,7 +386,6 @@ func (e *hlrcEngine) closeCommit() {
 		df := &diffFlush{
 			Page: pg, Writer: e.self, Interval: rec.Interval, Dep: dep, Diff: diff,
 		}
-		e.logDiff(df)
 		e.sendDiff(df)
 	}
 	// Deferred mid-interval invalidations (noticePage): now that the
@@ -504,10 +497,6 @@ func (e *hlrcEngine) handleCompute(m paragon.Msg) (sim.Time, func()) {
 		return e.handleMirror(m)
 	case kMgrMirror:
 		return e.handleMgrMirror(m)
-	case kCkptNote:
-		return e.handleCkptNote(m)
-	case kRecoverPull:
-		return e.handleRecoverPull(m)
 	}
 	return badKind(m.Kind)
 }
@@ -528,10 +517,6 @@ func (e *hlrcEngine) handleCoproc(m paragon.Msg) (sim.Time, func()) {
 		return e.handleMirror(m)
 	case kMgrMirror:
 		return e.handleMgrMirror(m)
-	case kCkptNote:
-		return e.handleCkptNote(m)
-	case kRecoverPull:
-		return e.handleRecoverPull(m)
 	// Synchronization service lands here under the OverlapLocks
 	// extension (§4.3's "moved to the co-processor").
 	case kLockAcq:
@@ -574,7 +559,6 @@ func (e *hlrcEngine) handleMakeDiff(m paragon.Msg) (sim.Time, func()) {
 			e.homeSelfFlush(df)
 			return
 		}
-		e.logDiff(df)
 		e.sendDiff(df)
 	}
 }
@@ -601,13 +585,10 @@ func (e *hlrcEngine) homeReceiveDiff(df *diffFlush) {
 		e.sendDiff(df)
 		return
 	}
-	e.ckptDirty[df.Page] = true
-	if e.sys.rec != nil && e.sys.rec.k > 0 && e.sys.rec.every == 0 {
-		// Eager mirroring happens at receipt, not at apply: a diff parked
-		// on causal predecessors has already been acknowledged to its
-		// writer, so it must be recoverable from the replicas now.
-		e.mirrorDiff(df)
-	}
+	// Mirroring happens at receipt, not at apply: a diff parked on
+	// causal predecessors has already been acknowledged to its writer,
+	// so it must be recoverable from the replicas now.
+	e.mirrorDiff(df)
 	f := e.flushOf(df.Page)
 	if !covers(f, df.Dep) {
 		m := e.pages.at(df.Page)
@@ -628,8 +609,8 @@ func (e *hlrcEngine) homeApply(df *diffFlush) {
 	if e.sys.rec == nil {
 		// Home-based diffs are single-use: once applied at the home the
 		// flush is dead, so its pooled backing can be recycled. With
-		// recovery on, the same diff may still sit in writer-side logs or
-		// be mirrored to replicas — leave those to the garbage collector.
+		// recovery on, the same diff may still be mirrored to replicas —
+		// leave those to the garbage collector.
 		df.Diff.Release(e.pool())
 	}
 }

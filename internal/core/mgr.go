@@ -375,7 +375,7 @@ func (s *System) promoteLockMgr(dead, succ int, slots []int) {
 		}
 	}
 	sb.st().Counts.MgrsRehomed += int64(len(slots))
-	s.M.Nodes[succ].CPU.Steal(s.Opts.Costs.LockHandling * sim.Time(len(slots)))
+	s.M.Nodes[succ].CPU.Steal(s.Opts.Machine.Costs.LockHandling * sim.Time(len(slots)))
 }
 
 // promoteBarrierMgr moves the centralized barrier to succ, re-registering
@@ -406,7 +406,7 @@ func (s *System) promoteBarrierMgr(dead, succ int) {
 	}
 	sb.mshadow.barArrived = 0
 	sb.st().Counts.MgrsRehomed++
-	s.M.Nodes[succ].CPU.Steal(s.Opts.Costs.LockHandling * sim.Time(adopted+1))
+	s.M.Nodes[succ].CPU.Steal(s.Opts.Machine.Costs.LockHandling * sim.Time(adopted+1))
 }
 
 // reclaimLocks revokes free lock tokens stranded on the dead node: for

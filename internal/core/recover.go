@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
@@ -14,10 +13,10 @@ import (
 
 // This file implements crash recovery for the home-based protocols:
 // replication of home-page state onto the K next nodes in home order
-// (eagerly mirrored diffs, or periodic checkpoints plus writer-side
-// diff logs), failure detection through the transport watchdog, and a
-// re-homing protocol that promotes a surviving replica to be the new
-// home and redirects in-flight fetches and diff flushes to it.
+// (every diff a home incorporates is mirrored eagerly), failure
+// detection through the transport watchdog, and a re-homing protocol
+// that promotes a surviving replica to be the new home and redirects
+// in-flight fetches and diff flushes to it.
 //
 // Crash semantics: a crashed node loses its volatile protocol state —
 // home-page copies, flush vectors, pending lists, and cached read-only
@@ -29,15 +28,14 @@ import (
 
 // recovery is the per-run recovery configuration and state.
 type recovery struct {
-	k        int      // replicas per home
-	every    sim.Time // checkpoint period; 0 = eager mirroring
+	k        int // replicas per home
 	crashes  []fault.Crash
 	declared map[int]bool
 }
 
 // mirrorPage is a replica's recoverable copy of one page's home state.
 type mirrorPage struct {
-	// seeded is false until an initial image or checkpoint arrives;
+	// seeded is false until an initial or resync page image arrives;
 	// diffs arriving earlier are parked rather than applied to nothing.
 	seeded  bool
 	data    []float64
@@ -46,26 +44,12 @@ type mirrorPage struct {
 }
 
 // mirrorMsg is the kMirror payload: either one mirrored diff or a full
-// checkpoint page image.
+// page image (replica reseeding after a promotion or a rejoin).
 type mirrorMsg struct {
 	Diff *diffFlush // non-nil: mirrored diff
-	Page int        // checkpoint form:
+	Page int        // page image form:
 	Data []float64
 	VC   *vc.Sparse
-}
-
-// ckptEntry tells writers which of their diffs a checkpoint covers.
-type ckptEntry struct {
-	Page int
-	VC   *vc.Sparse
-}
-
-type ckptNote struct {
-	Entries []ckptEntry
-}
-
-type recoverPull struct {
-	Entries []ckptEntry // per re-homed page: the flush vector the new home holds
 }
 
 // initRecovery validates and installs the recovery subsystem. Called
@@ -75,9 +59,6 @@ func (s *System) initRecovery() error {
 	r := &opts.Recovery
 	if !opts.Protocol.HomeBased() {
 		return fmt.Errorf("core: crash recovery requires a home-based protocol (hlrc, ohlrc), got %q", opts.Protocol)
-	}
-	if r.CheckpointEvery > 0 && r.Replicas == 0 {
-		return fmt.Errorf("core: Recovery.CheckpointEvery requires Replicas >= 1")
 	}
 	if r.Replicas >= opts.NumProcs {
 		return fmt.Errorf("core: Recovery.Replicas=%d needs at least %d nodes, have %d",
@@ -93,7 +74,6 @@ func (s *System) initRecovery() error {
 	}
 	s.rec = &recovery{
 		k:        r.Replicas,
-		every:    r.CheckpointEvery,
 		crashes:  opts.Fault.Crashes,
 		declared: make(map[int]bool),
 	}
@@ -156,28 +136,6 @@ func (s *System) seedReplicas(staging []float64) {
 			copy(mp.data, staging[pg*words:(pg+1)*words])
 			e.st().MemAlloc(int64(s.Space.PageBytes()))
 		}
-	}
-}
-
-// startCkptTimers arms the periodic checkpoint on every node. The timer
-// stops re-arming once all workers finish so the event queue drains.
-func (s *System) startCkptTimers() {
-	if s.rec.every == 0 {
-		return
-	}
-	for i := range s.Engines {
-		e := s.Engines[i].(*hlrcEngine)
-		var tick func()
-		tick = func() {
-			if s.liveWorkers.Load() == 0 {
-				return
-			}
-			if !s.M.Down(e.self) {
-				e.shipCheckpoint()
-			}
-			s.K.After(s.rec.every, tick)
-		}
-		s.K.After(s.rec.every, tick)
 	}
 }
 
@@ -247,7 +205,7 @@ func (s *System) rehomePages(dead int, now sim.Time) {
 		s.homes[pg] = succ
 		ne.adoptPage(pg, de)
 		ne.st().Counts.PagesRehomed++
-		promoteCost += s.Opts.Costs.TwinCost(s.Space.PageBytes())
+		promoteCost += s.Opts.Machine.Costs.TwinCost(s.Space.PageBytes())
 	}
 	// Promotion work competes with whatever the new home was computing.
 	s.M.Nodes[succ].CPU.Steal(promoteCost)
@@ -272,11 +230,6 @@ func (s *System) rehomePages(dead int, now sim.Time) {
 		s.M.Nodes[msg.From].Send(s.homes[pg], msg)
 	}
 
-	// Checkpoint mode: ask the surviving writers to replay logged diffs
-	// the promoted checkpoint does not cover.
-	if r.every > 0 {
-		ne.broadcastPull(pages)
-	}
 	// The promoted pages now replicate to the new home's successors.
 	ne.reseedReplicas(pages)
 	for _, pg := range pages {
@@ -362,9 +315,7 @@ func (e *hlrcEngine) mirrorOf(pg int) *mirrorPage {
 }
 
 // mirrorDiff forwards a diff just incorporated into home state to every
-// replica of this home. Eager mode mirrors every diff; checkpoint mode
-// only mirrors the home's own writes (remote writers keep their diffs
-// in a local log until a checkpoint covers them).
+// replica of this home.
 func (e *hlrcEngine) mirrorDiff(df *diffFlush) {
 	if !e.recovering() {
 		return
@@ -405,12 +356,12 @@ func (e *hlrcEngine) handleMirror(m paragon.Msg) (sim.Time, func()) {
 			return
 		}
 		if e.home(mm.Page) == e.self {
-			e.installCkptAsHome(mm)
+			e.mergeImageAsHome(mm)
 			return
 		}
 		mp := e.mirrorOf(mm.Page)
 		if mp.seeded && !covers(mm.VC, e.mirrorVC(mp)) {
-			return // stale checkpoint from before a re-homing
+			return // stale image from before a re-homing
 		}
 		if mp.data == nil {
 			mp.data = make([]float64, e.sys.Space.PageWords)
@@ -466,10 +417,11 @@ func (e *hlrcEngine) drainMirror(mp *mirrorPage) {
 	mp.pending = live
 }
 
-// installCkptAsHome merges a straggler full-page checkpoint into live
-// home state (we were promoted and the old home's last checkpoint was
-// still in flight). Only applied if it is ahead of what we hold.
-func (e *hlrcEngine) installCkptAsHome(mm *mirrorMsg) {
+// mergeImageAsHome merges a straggler full-page image into live home
+// state: a reseed or resync image was still in flight (retransmitted
+// while this replica was down) when a chained crash promoted this node
+// to home the page. Only applied if it is ahead of what we hold.
+func (e *hlrcEngine) mergeImageAsHome(mm *mirrorMsg) {
 	f := e.flushOf(mm.Page)
 	if !covers(mm.VC, f) {
 		return
@@ -497,8 +449,9 @@ func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
 	mp := e.mirrorOf(pg)
 	p := e.pt.Materialize(pg)
 	if !mp.seeded {
-		// Should not happen (replicas are seeded at startup), but an
-		// unseeded mirror means we only have our own copy; keep it.
+		// This replica's own crash wiped the mirror and no resync image
+		// has landed yet: keep our own copy. The image still in flight
+		// merges in on arrival (mergeImageAsHome).
 		mp.data = nil
 	}
 	if mp.data != nil {
@@ -533,7 +486,6 @@ func (e *hlrcEngine) adoptPage(pg int, old *hlrcEngine) {
 	m.pendingFetch = append(m.pendingFetch, om.pendingFetch...)
 	om.pendingFetch = nil
 	om.pendingDiff = nil
-	e.ckptDirty[pg] = true
 }
 
 // reseedReplicas ships full images of newly adopted pages to this
@@ -548,7 +500,7 @@ func (e *hlrcEngine) reseedReplicas(pages []int) {
 	}
 }
 
-// shipFullPage sends one checkpoint-style page image to the targets.
+// shipFullPage sends one full page image to the targets.
 func (e *hlrcEngine) shipFullPage(pg int, targets []int) {
 	p := e.pt.Page(pg)
 	if p.Data == nil {
@@ -579,129 +531,6 @@ func (e *hlrcEngine) shipFullPagesTo(node int) {
 	for pg, h := range e.sys.homes {
 		if h == e.self {
 			e.shipFullPage(pg, []int{node})
-		}
-	}
-}
-
-// shipCheckpoint ships every page modified since the last checkpoint to
-// this home's replicas and tells the writers what is now covered.
-func (e *hlrcEngine) shipCheckpoint() {
-	if len(e.ckptDirty) == 0 {
-		return
-	}
-	pages := make([]int, 0, len(e.ckptDirty))
-	for pg := range e.ckptDirty {
-		if e.home(pg) == e.self {
-			pages = append(pages, pg)
-		}
-	}
-	e.ckptDirty = make(map[int]bool)
-	if len(pages) == 0 {
-		return
-	}
-	sort.Ints(pages)
-	reps := e.sys.replicasOf(e.self)
-	note := &ckptNote{}
-	var copyCost sim.Time
-	for _, pg := range pages {
-		e.shipFullPage(pg, reps)
-		note.Entries = append(note.Entries, ckptEntry{Page: pg, VC: e.flushOf(pg).Copy()})
-		copyCost += e.costs().TwinCost(e.sys.Space.PageBytes())
-	}
-	e.node.CPU.Steal(copyCost)
-	size := 4
-	for i := range note.Entries {
-		size += 4 + note.Entries[i].VC.WireSize()
-	}
-	for n := 0; n < e.sys.Opts.NumProcs; n++ {
-		if n == e.self {
-			continue
-		}
-		e.node.Send(n, paragon.Msg{
-			Kind:   kCkptNote,
-			Size:   size,
-			Class:  stats.ClassProtocol,
-			Target: e.dataTarget(),
-			Body:   note,
-		})
-	}
-}
-
-// logDiff retains a flushed diff in the writer's local log (checkpoint
-// mode): until a checkpoint note covers it, this node may be asked to
-// replay it for a promoted home.
-func (e *hlrcEngine) logDiff(df *diffFlush) {
-	if e.sys.rec == nil || e.sys.rec.every == 0 || e.aurc {
-		return
-	}
-	e.dlog[df.Page] = append(e.dlog[df.Page], df)
-	e.st().MemAlloc(df.Diff.MemSize())
-}
-
-// handleCkptNote prunes the diff log: everything a checkpoint covers is
-// recoverable from the replicas and need not be replayed by us.
-func (e *hlrcEngine) handleCkptNote(m paragon.Msg) (sim.Time, func()) {
-	return e.costs().LockHandling, func() {
-		note := m.Body.(*ckptNote)
-		for _, ent := range note.Entries {
-			dl := e.dlog[ent.Page]
-			if len(dl) == 0 {
-				continue
-			}
-			keep := dl[:0]
-			for _, df := range dl {
-				if df.Interval > ent.VC.Get(e.self) {
-					keep = append(keep, df)
-				} else {
-					e.st().MemFree(df.Diff.MemSize())
-				}
-			}
-			if len(keep) == 0 {
-				delete(e.dlog, ent.Page)
-			} else {
-				e.dlog[ent.Page] = keep
-			}
-		}
-	}
-}
-
-// broadcastPull (checkpoint mode) asks every surviving writer to replay
-// logged diffs beyond what the promoted checkpoint covers.
-func (e *hlrcEngine) broadcastPull(pages []int) {
-	pull := &recoverPull{}
-	size := 4
-	for _, pg := range pages {
-		f := e.flushOf(pg).Copy()
-		pull.Entries = append(pull.Entries, ckptEntry{Page: pg, VC: f})
-		size += 4 + f.WireSize()
-	}
-	for n := 0; n < e.sys.Opts.NumProcs; n++ {
-		if n == e.self {
-			continue
-		}
-		e.node.Send(n, paragon.Msg{
-			Kind:   kRecoverPull,
-			Size:   size,
-			Class:  stats.ClassProtocol,
-			Target: e.dataTarget(),
-			Body:   pull,
-		})
-	}
-}
-
-// handleRecoverPull replays logged diffs the new home is missing. The
-// replayed flushes travel the normal kDiffFlush path, so causal
-// ordering (Dep gating) and idempotent application make the replay
-// order-independent.
-func (e *hlrcEngine) handleRecoverPull(m paragon.Msg) (sim.Time, func()) {
-	return e.costs().LockHandling, func() {
-		pull := m.Body.(*recoverPull)
-		for _, ent := range pull.Entries {
-			for _, df := range e.dlog[ent.Page] {
-				if df.Interval > ent.VC.Get(e.self) {
-					e.sendDiff(df)
-				}
-			}
 		}
 	}
 }
@@ -739,16 +568,14 @@ func (e *hlrcEngine) wipeVolatile() {
 		}
 		delete(e.mirrors, pg)
 	}
-	e.ckptDirty = make(map[int]bool)
 }
 
 // homeSelfFlush incorporates the home's own writes to a page it homes:
-// the flush vector advances locally and the diff is mirrored eagerly in
-// both recovery modes (the home's writes exist nowhere else).
+// the flush vector advances locally and the diff is mirrored to the
+// replicas like any other.
 func (e *hlrcEngine) homeSelfFlush(df *diffFlush) {
 	f := e.flushOf(df.Page)
 	f.RaiseTo(df.Writer, df.Interval)
-	e.ckptDirty[df.Page] = true
 	e.mirrorDiff(df)
 	e.homeDrain(df.Page)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"gosvm/internal/fault"
 	"gosvm/internal/mem"
@@ -92,12 +91,9 @@ type System struct {
 
 	// Crash-recovery state (recover.go). rec is nil unless the run has
 	// crashes or replication; fatal is set (with the kernel stopped) when
-	// a crash is unrecoverable; liveWorkers gates the checkpoint timers.
-	// Workers finish on different lanes in a parallel run, so the counter
-	// is atomic (recovery itself always runs sequentially).
-	rec         *recovery
-	fatal       error
-	liveWorkers atomic.Int32
+	// a crash is unrecoverable.
+	rec   *recovery
+	fatal error
 
 	// Synchronization-manager failover state (mgr.go). syncMgr maps each
 	// natural lock-manager slot (node id) to the node currently holding
@@ -133,19 +129,19 @@ type Result struct {
 // kernel. The gated-out configurations all thread some globally ordered
 // state through the event loop — mesh link occupancy, the fault
 // injector's sequential RNG stream, recovery's global watchdog and
-// checkpoint machinery, the shared trace log, and phase capture's
+// re-homing, the shared trace log, and phase capture's
 // cross-node stat snapshots — so they keep the sequential kernel, where
 // byte-identity at any -run-workers value holds trivially.
 func lpParallel(opts *Options, capturePhases bool) bool {
 	return opts.RunWorkers >= 2 &&
 		opts.NumProcs > 1 &&
 		opts.Protocol != ProtoSeq &&
-		!opts.Mesh &&
+		opts.Machine.Topology != TopoMesh &&
 		!opts.Fault.Active() &&
-		!opts.Recovery.Enabled() &&
+		opts.Recovery.Replicas == 0 &&
 		opts.TraceLimit == 0 &&
 		!capturePhases &&
-		opts.Costs.Lookahead() > 0
+		opts.Machine.Costs.Lookahead() > 0
 }
 
 // Run executes app under opts and returns the gathered results and
@@ -165,10 +161,10 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		// inside a conservative window bounded by the minimum cross-node
 		// message latency. Must happen before paragon.New spawns the
 		// dispatcher procs onto their lanes.
-		k.Partition(opts.NumProcs, opts.Costs.Lookahead(), opts.RunWorkers)
+		k.Partition(opts.NumProcs, opts.Machine.Costs.Lookahead(), opts.RunWorkers)
 	}
-	machine := paragon.New(k, opts.NumProcs, opts.Costs)
-	if opts.Mesh || opts.Fault.LinkLevel() {
+	machine := paragon.New(k, opts.NumProcs, opts.Machine.Costs)
+	if opts.Machine.Topology == TopoMesh || opts.Fault.LinkLevel() {
 		// Link-level faults are defined on mesh links, so they imply the
 		// link-granularity network model.
 		if opts.Machine.MeshRows > 0 {
@@ -199,7 +195,7 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 		}
 		sys.traceLog = trace.NewLog(limit)
 	}
-	if len(opts.Fault.Crashes) > 0 || opts.Recovery.Enabled() {
+	if len(opts.Fault.Crashes) > 0 || opts.Recovery.Replicas > 0 {
 		if err := sys.initRecovery(); err != nil {
 			return nil, err
 		}
@@ -260,7 +256,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 	}
 	if sys.rec != nil {
 		sys.seedReplicas(sys.staging)
-		sys.startCkptTimers()
 	}
 	sys.staging = nil
 
@@ -282,7 +277,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 
 	// Phase 5: run workers.
 	sys.appProcs = make([]*sim.Proc, opts.NumProcs)
-	sys.liveWorkers.Store(int32(opts.NumProcs))
 	perProcEnd := make([]sim.Time, opts.NumProcs)
 	endStats := make([]stats.Node, opts.NumProcs)
 	var gathered []float64
@@ -293,7 +287,6 @@ func Run(opts Options, app App, capturePhases bool) (*Result, error) {
 			c := newCtx(sys, i, p)
 			app.Worker(c, i)
 			perProcEnd[i] = p.Now()
-			sys.liveWorkers.Add(-1)
 			// Snapshot before the (untimed) gather phase so reported
 			// statistics cover exactly the parallel execution.
 			endStats[i] = machine.Nodes[i].Stats.Snapshot()

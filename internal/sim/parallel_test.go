@@ -18,21 +18,26 @@ func TestWindowMergeOrder(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			exec := func(workers int) []string {
-				var order []string
+			// Handlers run concurrently on their lanes, so every piece of
+			// harness state a handler touches is per lane: its own rng
+			// (seeded from trial and lane, so a lane's draws depend only
+			// on its own deterministic event order) and its own log.
+			exec := func(workers int) [][]string {
+				order := make([][]string, lanes)
 				lastKey := make([]event, lanes)
+				rngs := make([]*rand.Rand, lanes)
+				for i := range rngs {
+					rngs[i] = rand.New(rand.NewSource(int64(trial)*lanes + int64(i) + 1))
+				}
 				k := NewKernel()
 				k.Partition(lanes, lookahead, workers)
-				rng := rand.New(rand.NewSource(int64(trial) + 1))
 				// Seed each lane with a chain of events that randomly post
 				// forward in time to other lanes, always >= lookahead ahead.
 				var chain func(self int, hops int) func()
 				chain = func(self int, hops int) func() {
 					return func() {
 						l := k.lanes[self]
-						ev := l.events // popped already; inspect executed head via now
-						_ = ev
-						order = append(order, fmt.Sprintf("l%d@%d", self, l.now))
+						order[self] = append(order[self], fmt.Sprintf("l%d@%d", self, l.now))
 						// Ordering property within the lane: the key of the
 						// event being executed must not precede the previous
 						// one. We reconstruct it from lane state: at = now.
@@ -44,13 +49,14 @@ func TestWindowMergeOrder(t *testing.T) {
 						if hops == 0 {
 							return
 						}
+						rng := rngs[self]
 						dst := rng.Intn(lanes)
 						delay := lookahead + Time(rng.Intn(60))
 						k.Post(self, dst, l.now+delay, chain(dst, hops-1))
 					}
 				}
 				for i := 0; i < lanes; i++ {
-					at := Time(rng.Intn(30))
+					at := Time(rngs[i].Intn(30))
 					// Setup-style seeding: rank -1 creators with kernel-wide
 					// creation indices, exactly what schedule stamps pre-Run.
 					k.lanes[i].push(event{at: at, prank: -1, cidx: int64(i), kind: evFn,
@@ -63,24 +69,10 @@ func TestWindowMergeOrder(t *testing.T) {
 			}
 			seqOrder := exec(1)
 			parOrder := exec(4)
-			if len(seqOrder) != len(parOrder) {
-				t.Fatalf("executed %d events at 1 worker, %d at 4", len(seqOrder), len(parOrder))
-			}
 			// Workers only change host-thread placement: each lane's own
-			// subsequence must be identical. (The interleaving across lanes
-			// in the flat trace may differ; per-lane projections may not.)
-			proj := func(order []string, lane int) []string {
-				var p []string
-				prefix := fmt.Sprintf("l%d@", lane)
-				for _, s := range order {
-					if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-						p = append(p, s)
-					}
-				}
-				return p
-			}
+			// event sequence must be identical.
 			for l := 0; l < lanes; l++ {
-				a, b := proj(seqOrder, l), proj(parOrder, l)
+				a, b := seqOrder[l], parOrder[l]
 				if len(a) != len(b) {
 					t.Fatalf("lane %d: %d events at 1 worker, %d at 4", l, len(a), len(b))
 				}

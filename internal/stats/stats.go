@@ -117,7 +117,7 @@ type Node struct {
 	Recovery sim.Time
 
 	// ReplicaBytes counts home-state replication traffic sent by this
-	// node (mirrored diffs, checkpoint pages). Zero without recovery.
+	// node (mirrored diffs, page images). Zero without recovery.
 	ReplicaBytes int64
 	// MirrorBytes counts synchronization-manager replication traffic
 	// sent by this node (lock-owner updates, barrier arrivals mirrored
