@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale bench bench-json
+.PHONY: all build test perfbench-test race vet fmt check sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale bench bench-json
 
 all: check
 
@@ -11,6 +11,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark is its own module, so the root ./... stops short of it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -23,7 +27,7 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
-check: fmt vet build test
+check: fmt vet build test perfbench-test
 
 # The Table-2 speedup grid under every fault profile, with per-cell JSON
 # statistics. Crash cells run the home-based protocols with one replica.

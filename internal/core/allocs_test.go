@@ -30,6 +30,62 @@ func oneWriterApp(episodes int) *testApp {
 	}
 }
 
+// allWritersApp has every node store to its own page each episode, then
+// barrier, so the write notices per barrier grow with the machine.
+func allWritersApp(episodes int) *testApp {
+	var addrs []mem.Addr
+	return &testApp{
+		name: "allwriters",
+		setup: func(s *Setup) {
+			addrs = make([]mem.Addr, s.P)
+			for i := range addrs {
+				addrs[i] = s.Alloc(1)
+			}
+		},
+		init: func(w *Init) {
+			for i, a := range addrs {
+				w.Store(a, 0)
+				w.SetHome(a, 1, i)
+			}
+		},
+		worker: func(c *Ctx, id int) {
+			for e := 0; e < episodes; e++ {
+				c.Store(addrs[id], float64(e+1))
+				c.Barrier(e)
+			}
+		},
+		gather: func(c *Ctx) []float64 {
+			out := make([]float64, len(addrs))
+			for i, a := range addrs {
+				out[i] = c.Load(a)
+			}
+			return out
+		},
+	}
+}
+
+// checkSyncOpAllocsFlat compares the host allocation count per (node x
+// barrier episode) at 8 nodes, which take the centralized barrier, and at
+// 96, which take the tree (auto crossover at 64), so both implementations
+// are under guard.
+func checkSyncOpAllocsFlat(t *testing.T, proto Protocol, app func(episodes int) *testApp) {
+	const episodes = 30
+	perOp := func(p int) float64 {
+		total := testing.AllocsPerRun(2, func() {
+			if _, err := Run(testOpts(proto, p), app(episodes), false); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return total / float64(p*episodes)
+	}
+	small := perOp(8)
+	large := perOp(96)
+	t.Logf("allocs per sync op: %.1f at p=8, %.1f at p=96", small, large)
+	if large > 1.6*small+2 {
+		t.Errorf("allocs per sync op grew with machine size: %.1f at p=8, %.1f at p=96", small, large)
+	}
+}
+
 // TestSyncOpAllocsFlatInNodeCount guards the scaling contract: the host
 // allocation COUNT per (node x barrier episode) stays constant as the
 // machine grows. Sparse vector clocks, the tree barrier, and lazily
@@ -38,25 +94,24 @@ func oneWriterApp(episodes int) *testApp {
 // scaling with the node count. (Allocation sizes may still grow — one
 // dense clock buffer is one allocation at any machine size.)
 func TestSyncOpAllocsFlatInNodeCount(t *testing.T) {
-	const episodes = 30
 	for _, proto := range []Protocol{ProtoHLRC, ProtoLRC} {
-		proto := proto
 		t.Run(string(proto), func(t *testing.T) {
-			perOp := func(p int) float64 {
-				total := testing.AllocsPerRun(2, func() {
-					if _, err := Run(testOpts(proto, p), oneWriterApp(episodes), false); err != nil {
-						t.Fatal(err)
-					}
-				})
-				return total / float64(p*episodes)
-			}
-			// 8 nodes takes the centralized barrier, 96 the tree (auto
-			// crossover at 64), so both implementations are under guard.
-			small := perOp(8)
-			large := perOp(96)
-			if large > 1.6*small+2 {
-				t.Errorf("allocs per sync op grew with machine size: %.1f at p=8, %.1f at p=96", small, large)
-			}
+			checkSyncOpAllocsFlat(t, proto, oneWriterApp)
+		})
+	}
+}
+
+// TestSyncOpAllocsFlatInWriterCount extends the contract to a machine on
+// which every node writes between barriers: interval records are shared
+// by pointer, so per-sync-op allocations must not grow with the number of
+// writers whose notices a node receives. LRC and OLRC are left out on
+// purpose: their per-page write-notice lists are protocol state that is
+// O(writers) by design (the paper's Table 6 metadata growth), not a host
+// copy this test could flag.
+func TestSyncOpAllocsFlatInWriterCount(t *testing.T) {
+	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
+		t.Run(string(proto), func(t *testing.T) {
+			checkSyncOpAllocsFlat(t, proto, allWritersApp)
 		})
 	}
 }

@@ -161,13 +161,24 @@ func (b *base) closeIntervalOnApp() {
 
 // newIntervalRec assigns the next own interval index, advancing the clock,
 // and stores the record in the log. Called by closeCommit implementations.
+// Only the homeless protocols build the vector timestamp; the home-based
+// ones record just its size, which their memory accounting charges.
 func (b *base) newIntervalRec() *IntervalRec {
 	b.clock[b.self]++
+	nnz := 0
+	for _, x := range b.clock {
+		if x != 0 {
+			nnz++
+		}
+	}
 	rec := &IntervalRec{
 		Proc:     b.self,
 		Interval: b.clock[b.self],
-		VC:       vc.SparseFrom(b.clock),
 		Pages:    b.dirty,
+		vcBytes:  vc.SparseWireSize(len(b.clock), nnz),
+	}
+	if !b.sys.homeBased {
+		rec.VC = vc.SparseFrom(b.clock)
 	}
 	b.dirty = nil
 	b.insertLog(rec)
@@ -194,7 +205,19 @@ func (b *base) synthCloseOpen() {
 // insertLog stores rec in the interval log with memory accounting.
 func (b *base) insertLog(rec *IntervalRec) {
 	b.log[rec.Proc] = append(b.log[rec.Proc], rec)
-	b.st().MemAlloc(rec.memSize())
+	b.st().MemAlloc(b.logMem(rec))
+}
+
+// stamped reports whether write notices travel with vector timestamps:
+// only in the homeless protocols, which need them to order diffs. The
+// home-based ones make do with a per-page per-writer max interval.
+func (b *base) stamped() bool { return !b.sys.homeBased }
+
+// logMem is rec's protocol-memory charge in this node's log. The homeless
+// protocols keep every record's timestamp; the home-based ones keep it
+// only on the writer's own records, since write notices travel without.
+func (b *base) logMem(rec *IntervalRec) int64 {
+	return rec.memSize(b.stamped() || rec.Proc == b.self)
 }
 
 // pruneLogThrough drops all log records with interval index <= upTo[proc],
@@ -205,51 +228,32 @@ func (b *base) pruneLogThrough(upTo vc.VC) {
 		recs := b.log[p]
 		cut := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > upTo[p] })
 		for _, r := range recs[:cut] {
-			b.st().MemFree(r.memSize())
+			b.st().MemFree(b.logMem(r))
 		}
-		b.log[p] = append([]*IntervalRec(nil), recs[cut:]...)
+		n := copy(recs, recs[cut:])
+		clear(recs[n:])
+		b.log[p] = recs[:n]
 	}
 }
 
 // logSince collects the interval records the holder of knowledge `have`
 // is missing, in log order.
-func (b *base) logSince(have vc.VC) []IntervalRec {
-	var out []IntervalRec
+func (b *base) logSince(have vc.VC) []*IntervalRec {
+	var out []*IntervalRec
 	for p := range b.log {
 		recs := b.log[p]
 		from := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > have[p] })
-		for _, r := range recs[from:] {
-			out = append(out, *r)
-		}
+		out = append(out, recs[from:]...)
 	}
 	return out
 }
 
-// ownRecsAfter returns this node's own interval records with index > after.
-func (b *base) ownRecsAfter(after int32) []IntervalRec {
+// ownRecsAfter returns this node's own interval records with index > after,
+// in a fresh slice: pruning compacts the log in place.
+func (b *base) ownRecsAfter(after int32) []*IntervalRec {
 	recs := b.log[b.self]
 	from := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > after })
-	out := make([]IntervalRec, 0, len(recs)-from)
-	for _, r := range recs[from:] {
-		out = append(out, *r)
-	}
-	return out
-}
-
-// grantPayload builds the coherence payload for a grant to a requester
-// whose clock is reqVC.
-func (b *base) grantPayload(reqVC vc.VC) grantInfo {
-	g := grantInfo{VC: b.clock.Copy(), Intervals: b.logSince(reqVC)}
-	if !b.sys.homeBased {
-		return g
-	}
-	// Home-based protocols do not ship vector timestamps with write
-	// notices (a per-page per-writer max interval suffices); strip them
-	// to model the smaller wire format.
-	for i := range g.Intervals {
-		g.Intervals[i].VC = nil
-	}
-	return g
+	return append([]*IntervalRec(nil), recs[from:]...)
 }
 
 // applyGrant merges a grant/release payload on the application proc:
@@ -257,16 +261,14 @@ func (b *base) grantPayload(reqVC vc.VC) grantInfo {
 // advance the clock.
 func (b *base) applyGrant(g grantInfo) {
 	var cost sim.Time
-	for i := range g.Intervals {
-		rec := g.Intervals[i]
+	for _, rec := range g.Intervals {
 		if rec.Interval <= b.clock[rec.Proc] {
 			continue // already known via another path
 		}
-		r := &rec
-		b.insertLog(r)
+		b.insertLog(rec)
 		b.clock[rec.Proc] = rec.Interval
 		for _, pg := range rec.Pages {
-			cost += b.co.noticePage(r, int(pg))
+			cost += b.co.noticePage(rec, int(pg))
 		}
 	}
 	b.clock.MaxWith(g.VC)
@@ -380,10 +382,10 @@ func (b *base) Release(lock int) {
 
 // grantTo sends the lock token plus coherence payload to the requester.
 func (b *base) grantTo(req paragon.Msg, lr *lockReq) {
-	g := b.grantPayload(lr.ReqVC)
+	g := grantInfo{VC: b.clock.Copy(), Intervals: b.logSince(lr.ReqVC)}
 	b.node.Respond(req, paragon.Msg{
 		Kind:  kLockFwd,
-		Size:  g.wireSize(),
+		Size:  g.wireSize(b.stamped()),
 		Class: stats.ClassProtocol,
 		Body:  &g,
 	})
@@ -546,7 +548,7 @@ func newBarrierMgr(nproc int) *barrierMgr {
 type barrierReport struct {
 	Node     int
 	VC       vc.VC
-	Recs     []IntervalRec
+	Recs     []*IntervalRec
 	ProtoMem int64
 }
 
@@ -562,12 +564,6 @@ func (b *base) Barrier(id int) {
 		VC:       b.clock.Copy(),
 		Recs:     b.ownRecsAfter(b.lastReported),
 		ProtoMem: b.co.protoMem(),
-	}
-	if b.sys.homeBased {
-		// Home-based write notices carry no vector timestamps.
-		for i := range rep.Recs {
-			rep.Recs[i].VC = nil
-		}
 	}
 	if len(b.log[b.self]) > 0 {
 		b.lastReported = b.log[b.self][len(b.log[b.self])-1].Interval
@@ -590,7 +586,7 @@ func (b *base) Barrier(id int) {
 	} else {
 		resp := b.node.Call(b.app(), b.sys.bmgrNode(), paragon.Msg{
 			Kind:   kBarrier,
-			Size:   8 + rep.VC.WireSize() + recsWireSize(rep.Recs),
+			Size:   8 + rep.VC.WireSize() + recsWireSize(rep.Recs, b.stamped()),
 			Class:  stats.ClassProtocol,
 			Target: b.syncTarget(),
 			Body:   rep,
@@ -633,11 +629,9 @@ func (b *base) bmgrComplete() *grantInfo {
 	// Merge every reported interval into the manager's log. Reports carry
 	// each node's *own* intervals, so together they cover everything.
 	for _, a := range mgr.arrivals {
-		for i := range a.rep.Recs {
-			rec := a.rep.Recs[i]
+		for _, rec := range a.rep.Recs {
 			if !b.hasLogRec(rec.Proc, rec.Interval) {
-				r := rec
-				b.insertLog(&r)
+				b.insertLog(rec)
 			}
 		}
 	}
@@ -658,13 +652,14 @@ func (b *base) bmgrComplete() *grantInfo {
 		}
 		gc = b.sys.gcDecider(reports)
 	}
+	// Every release shares the read-only merged clock.
 	var local *grantInfo
 	for _, a := range mgr.arrivals {
-		g := grantInfo{VC: merged.Copy(), GC: gc, Intervals: b.releaseRecsFor(a.rep)}
+		g := grantInfo{VC: merged, GC: gc, Intervals: b.releaseRecsFor(a.rep)}
 		if a.req.Reply != nil {
 			b.node.Respond(a.req, paragon.Msg{
 				Kind:  kBarrier,
-				Size:  g.wireSize(),
+				Size:  g.wireSize(b.stamped()),
 				Class: stats.ClassProtocol,
 				Body:  &g,
 			})
@@ -689,22 +684,15 @@ func (b *base) bmgrComplete() *grantInfo {
 }
 
 // releaseRecsFor selects the interval records node rep is missing.
-func (b *base) releaseRecsFor(rep *barrierReport) []IntervalRec {
-	var out []IntervalRec
+func (b *base) releaseRecsFor(rep *barrierReport) []*IntervalRec {
+	var out []*IntervalRec
 	for p := range b.log {
 		if p == rep.Node {
 			continue
 		}
 		recs := b.log[p]
 		from := sort.Search(len(recs), func(i int) bool { return recs[i].Interval > rep.VC[p] })
-		for _, r := range recs[from:] {
-			out = append(out, *r)
-		}
-	}
-	if b.sys.homeBased {
-		for i := range out {
-			out[i].VC = nil
-		}
+		out = append(out, recs[from:]...)
 	}
 	return out
 }

@@ -183,17 +183,23 @@ const (
 )
 
 // IntervalRec is the write-notice record for one interval: the pages the
-// processor modified. In the homeless protocols the record carries the
-// full vector timestamp (needed to order diffs), which is the paper's
-// explanation for their metadata growth; the home-based protocols omit it.
-// The timestamp is stored sparsely: at large machine sizes only the
-// active writers have non-zero components, so both the wire and memory
-// cost are O(writers), not O(nodes).
+// processor modified. A record is immutable once its interval closes, so
+// one heap record per interval is shared by pointer by every log, grant
+// and barrier report that carries it; nothing copies or edits it.
+//
+// In the homeless protocols the record carries the full vector timestamp
+// (needed to order diffs), which is the paper's explanation for their
+// metadata growth; the home-based protocols neither build nor ship it,
+// and only the writer's own log is charged for it (see base.logMem). The
+// timestamp is sized sparsely: at large machine sizes only the active
+// writers have non-zero components, so both the wire and memory cost are
+// O(writers), not O(nodes).
 type IntervalRec struct {
 	Proc     int
 	Interval int32
-	VC       *vc.Sparse // nil on the wire under HLRC/OHLRC
+	VC       *vc.Sparse // homeless protocols only; nil under HLRC/OHLRC
 	Pages    []int32
+	vcBytes  int // encoded size of the interval's timestamp, built or not
 }
 
 // Stamp returns the interval's identity for happens-before ordering.
@@ -201,42 +207,45 @@ func (r *IntervalRec) Stamp() vc.Stamp {
 	return vc.Stamp{Proc: r.Proc, Interval: r.Interval, VC: r.VC}
 }
 
-// wireSize returns the encoded size of the record in bytes.
-func (r *IntervalRec) wireSize() int {
+// wireSize returns the encoded size of the record in bytes; stamped says
+// whether the protocol ships the vector timestamp with it.
+func (r *IntervalRec) wireSize(stamped bool) int {
 	sz := 8 + 4*len(r.Pages)
-	if r.VC != nil {
-		sz += r.VC.WireSize()
+	if stamped {
+		sz += r.vcBytes
 	}
 	return sz
 }
 
-// memSize returns the in-memory footprint for protocol memory accounting.
-func (r *IntervalRec) memSize() int64 {
+// memSize returns the in-memory footprint for protocol memory accounting;
+// stamped says whether the holding node keeps the timestamp.
+func (r *IntervalRec) memSize(stamped bool) int64 {
 	sz := int64(48) + 4*int64(len(r.Pages))
-	if r.VC != nil {
-		sz += int64(r.VC.WireSize())
+	if stamped {
+		sz += int64(r.vcBytes)
 	}
 	return sz
 }
 
-func recsWireSize(recs []IntervalRec) int {
+func recsWireSize(recs []*IntervalRec, stamped bool) int {
 	sz := 4
-	for i := range recs {
-		sz += recs[i].wireSize()
+	for _, r := range recs {
+		sz += r.wireSize(stamped)
 	}
 	return sz
 }
 
 // grantInfo is the coherence payload piggybacked on lock grants and
-// barrier releases.
+// barrier releases. Receivers only read it: a barrier release may share
+// one VC among all its recipients.
 type grantInfo struct {
 	VC        vc.VC // the releaser's / manager's merged vector clock
-	Intervals []IntervalRec
+	Intervals []*IntervalRec
 	GC        bool // homeless protocols: run garbage collection (barrier only)
 }
 
-func (g *grantInfo) wireSize() int {
-	return g.VC.WireSize() + recsWireSize(g.Intervals)
+func (g *grantInfo) wireSize(stamped bool) int {
+	return g.VC.WireSize() + recsWireSize(g.Intervals, stamped)
 }
 
 // Engine is one node's protocol instance. Fault and synchronization entry
