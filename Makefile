@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test race vet fmt check sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale bench bench-json
+.PHONY: all build test perfbench-test race vet fmt check sweep-faults sweep-rto sweep-serve sweep-serve-scale sweep-scale bench bench-json alloc-profile
 
 all: check
 
@@ -60,6 +60,15 @@ sweep-scale:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Per-site host allocation counts of one 256-node HLRC SOR run (the
+# ScaleSmall benchmark), every allocation sampled; the profile and test
+# binary land in out/.
+alloc-profile:
+	mkdir -p out
+	$(GO) test -run '^$$' -bench ScaleSmall -benchtime 1x -memprofilerate 1 \
+		-memprofile out/scale.mprof -o out/perf.test ./internal/perf/
+	$(GO) tool pprof -sample_index=alloc_objects -top out/perf.test out/scale.mprof | head -40
 
 # Append one perf-trajectory entry (micro-benchmarks + sweep wall clock)
 # to BENCH_sim.json; compare entries across commits to catch regressions.

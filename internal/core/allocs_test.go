@@ -67,9 +67,9 @@ func allWritersApp(episodes int) *testApp {
 // checkSyncOpAllocsFlat compares the host allocation count per (node x
 // barrier episode) at 8 nodes, which take the centralized barrier, and at
 // 96, which take the tree (auto crossover at 64), so both implementations
-// are under guard.
-func checkSyncOpAllocsFlat(t *testing.T, proto Protocol, app func(episodes int) *testApp) {
-	const episodes = 30
+// are under guard. Many episodes amortise first-touch state away; a
+// single episode measures it.
+func checkSyncOpAllocsFlat(t *testing.T, proto Protocol, app func(episodes int) *testApp, episodes int) {
 	perOp := func(p int) float64 {
 		total := testing.AllocsPerRun(2, func() {
 			if _, err := Run(testOpts(proto, p), app(episodes), false); err != nil {
@@ -96,7 +96,7 @@ func checkSyncOpAllocsFlat(t *testing.T, proto Protocol, app func(episodes int) 
 func TestSyncOpAllocsFlatInNodeCount(t *testing.T) {
 	for _, proto := range []Protocol{ProtoHLRC, ProtoLRC} {
 		t.Run(string(proto), func(t *testing.T) {
-			checkSyncOpAllocsFlat(t, proto, oneWriterApp)
+			checkSyncOpAllocsFlat(t, proto, oneWriterApp, 30)
 		})
 	}
 }
@@ -111,7 +111,20 @@ func TestSyncOpAllocsFlatInNodeCount(t *testing.T) {
 func TestSyncOpAllocsFlatInWriterCount(t *testing.T) {
 	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
 		t.Run(string(proto), func(t *testing.T) {
-			checkSyncOpAllocsFlat(t, proto, allWritersApp)
+			checkSyncOpAllocsFlat(t, proto, allWritersApp, 30)
+		})
+	}
+}
+
+// TestSyncOpAllocsFlatAtFirstTouch runs one all-writers episode, so every
+// node's first write notice from every writer dominates: the per-writer
+// log and the per-page requirement vectors it materializes are carved
+// from per-node slabs, so first touch must not cost allocations per
+// (node, writer) either.
+func TestSyncOpAllocsFlatAtFirstTouch(t *testing.T) {
+	for _, proto := range []Protocol{ProtoHLRC, ProtoOHLRC} {
+		t.Run(string(proto), func(t *testing.T) {
+			checkSyncOpAllocsFlat(t, proto, allWritersApp, 1)
 		})
 	}
 }

@@ -82,6 +82,10 @@ type base struct {
 
 	// memPool recycles page/diff buffers for this node only; see init.
 	memPool *mem.Pool
+
+	// slab carves this node's long-lived per-page vectors (vc.Slab); per
+	// node, like memPool, so parallel-kernel lanes never share it.
+	slab vc.Slab
 }
 
 type lockState struct {
@@ -98,7 +102,14 @@ func (b *base) init(sys *System, self int, co coherence) {
 	b.co = co
 	b.clock = vc.New(sys.Opts.NumProcs)
 	b.pt = sys.Tables[self]
+	// Every writer's log starts in one shared backing array with room for
+	// a single record, so first touch costs nothing; a second record
+	// reallocates that log alone, and pruning compacts in place.
 	b.log = make([][]*IntervalRec, sys.Opts.NumProcs)
+	first := make([]*IntervalRec, sys.Opts.NumProcs)
+	for p := range b.log {
+		b.log[p] = first[p : p : p+1]
+	}
 	b.locks = make(map[int]*lockState)
 	b.lockOwner = make(map[int]int)
 	if self == barrierManager {

@@ -45,8 +45,10 @@ type hlrcEngine struct {
 type hlrcPage struct {
 	// seen[j] is the highest interval of writer j whose updates this node
 	// is required to observe (from write notices) or has incorporated
-	// (from a home fetch). Nil means all-zero. This is the "vector of
-	// lock timestamps" sent with fetch requests.
+	// (from a home fetch). Nil means all-zero, and it stays nil until
+	// first touch: the Dep/Need copies taken from it are sized on the
+	// wire, nil included. This is the "vector of lock timestamps" sent
+	// with fetch requests.
 	seen *vc.Sparse
 
 	// Home-side state (only on the page's home node):
@@ -139,7 +141,7 @@ func (e *hlrcEngine) dataTarget() paragon.Target {
 func (e *hlrcEngine) seenOf(page int) *vc.Sparse {
 	m := e.pages.at(page)
 	if m.seen == nil {
-		m.seen = vc.NewSparse(e.sys.Opts.NumProcs)
+		m.seen = e.slab.New(e.sys.Opts.NumProcs)
 		e.st().MemAlloc(e.vecBytes())
 	}
 	return m.seen
@@ -148,7 +150,7 @@ func (e *hlrcEngine) seenOf(page int) *vc.Sparse {
 func (e *hlrcEngine) flushOf(page int) *vc.Sparse {
 	m := e.pages.at(page)
 	if m.flushVC == nil {
-		m.flushVC = vc.NewSparse(e.sys.Opts.NumProcs)
+		m.flushVC = e.slab.New(e.sys.Opts.NumProcs)
 		e.st().MemAlloc(e.vecBytes())
 	}
 	return m.flushVC

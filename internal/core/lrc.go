@@ -307,7 +307,7 @@ func (e *lrcEngine) fetchBaseCopy(page int, waitCat stats.Category) {
 func (e *lrcEngine) ensureAppliedVC(page int) {
 	m := e.pages.at(page)
 	if m.appliedVC == nil {
-		m.appliedVC = vc.NewSparse(e.sys.Opts.NumProcs)
+		m.appliedVC = e.slab.New(e.sys.Opts.NumProcs)
 		e.st().MemAlloc(e.vecBytes())
 	}
 }

@@ -376,7 +376,7 @@ func (e *hlrcEngine) handleMirror(m paragon.Msg) (sim.Time, func()) {
 
 func (e *hlrcEngine) mirrorVC(mp *mirrorPage) *vc.Sparse {
 	if mp.vc == nil {
-		mp.vc = vc.NewSparse(e.sys.Opts.NumProcs)
+		mp.vc = e.slab.New(e.sys.Opts.NumProcs)
 	}
 	return mp.vc
 }

@@ -15,20 +15,22 @@ import (
 var ForceDense = false
 
 // Sparse is a vector timestamp over n processors that stores only its
-// non-zero components, as parallel (proc, value) slices sorted by proc.
+// non-zero components, as one slice of (proc, value) pairs sorted by proc.
 // Per-page vectors in the coherence protocols are touched by O(active
 // writers) processors, not O(n), so at large machine sizes this makes
 // write-notice records and piggybacked timestamps cost O(writers).
 //
-// The zero value is not usable; construct with NewSparse or SparseFrom.
-// Read methods (Get, Covers, NNZ, WireSize, Dense) tolerate a nil
-// receiver, which behaves as an all-zero vector of unknown dimension.
+// The zero value is not usable; construct with NewSparse, SparseFrom or
+// Slab.New. Read methods (Get, Covers, NNZ, WireSize, Dense) tolerate a
+// nil receiver, which behaves as an all-zero vector of unknown dimension.
 type Sparse struct {
 	n     int     // dimension (number of processors)
-	procs []int32 // sorted processor ids with non-zero components
-	vals  []int32 // vals[i] pairs with procs[i]
+	ents  []entry // non-zero components, sorted by proc
 	dense VC      // non-nil when ForceDense was set at creation
 }
+
+// entry is one non-zero component: processor p has value x.
+type entry struct{ p, x int32 }
 
 // NewSparse returns an all-zero sparse vector for n processors.
 func NewSparse(n int) *Sparse {
@@ -39,6 +41,37 @@ func NewSparse(n int) *Sparse {
 	return s
 }
 
+// slabBlock is how many vectors a Slab carves from one allocation. Larger
+// blocks cut allocations further but strand more memory in partly used
+// blocks on nodes that touch few pages.
+const slabBlock = 32
+
+// Slab hands out long-lived vectors (per-page protocol state) carved from
+// blocks of slabBlock headers plus room for two entries each, so first
+// touch of a page costs O(1) allocations per block instead of per vector.
+// Each vector's entries are a full slice expression of its two slots: a
+// third entry reallocates through append instead of overrunning the next
+// vector. A Slab is not safe for concurrent use; the zero value is ready.
+type Slab struct {
+	hdrs []Sparse
+	ents []entry
+}
+
+// New returns an all-zero vector for n processors, like NewSparse.
+func (sl *Slab) New(n int) *Sparse {
+	if len(sl.hdrs) == 0 {
+		sl.hdrs = make([]Sparse, slabBlock)
+		sl.ents = make([]entry, 2*slabBlock)
+	}
+	s := &sl.hdrs[0]
+	s.n, s.ents = n, sl.ents[:0:2]
+	if ForceDense {
+		s.dense = New(n)
+	}
+	sl.hdrs, sl.ents = sl.hdrs[1:], sl.ents[2:]
+	return s
+}
+
 // SparseFrom returns a sparse copy of a dense vector.
 func SparseFrom(v VC) *Sparse {
 	s := NewSparse(len(v))
@@ -46,10 +79,16 @@ func SparseFrom(v VC) *Sparse {
 		copy(s.dense, v)
 		return s
 	}
+	nnz := 0
+	for _, x := range v {
+		if x != 0 {
+			nnz++
+		}
+	}
+	s.ents = make([]entry, 0, nnz)
 	for i, x := range v {
 		if x != 0 {
-			s.procs = append(s.procs, int32(i))
-			s.vals = append(s.vals, x)
+			s.ents = append(s.ents, entry{int32(i), x})
 		}
 	}
 	return s
@@ -63,13 +102,9 @@ func (s *Sparse) Dim() int {
 	return s.n
 }
 
-// find returns the index of proc p in s.procs, or -1.
-func (s *Sparse) find(p int32) int {
-	i := sort.Search(len(s.procs), func(i int) bool { return s.procs[i] >= p })
-	if i < len(s.procs) && s.procs[i] == p {
-		return i
-	}
-	return -1
+// search returns the index of the first entry with proc >= p.
+func (s *Sparse) search(p int32) int {
+	return sort.Search(len(s.ents), func(i int) bool { return s.ents[i].p >= p })
 }
 
 // Get returns component p (0 when absent or s is nil).
@@ -80,8 +115,8 @@ func (s *Sparse) Get(p int) int32 {
 	if s.dense != nil {
 		return s.dense[p]
 	}
-	if i := s.find(int32(p)); i >= 0 {
-		return s.vals[i]
+	if i := s.search(int32(p)); i < len(s.ents) && s.ents[i].p == int32(p) {
+		return s.ents[i].x
 	}
 	return 0
 }
@@ -93,25 +128,21 @@ func (s *Sparse) Set(p int, x int32) {
 		return
 	}
 	pp := int32(p)
-	i := sort.Search(len(s.procs), func(i int) bool { return s.procs[i] >= pp })
-	if i < len(s.procs) && s.procs[i] == pp {
+	i := s.search(pp)
+	if i < len(s.ents) && s.ents[i].p == pp {
 		if x == 0 {
-			s.procs = append(s.procs[:i], s.procs[i+1:]...)
-			s.vals = append(s.vals[:i], s.vals[i+1:]...)
+			s.ents = append(s.ents[:i], s.ents[i+1:]...)
 			return
 		}
-		s.vals[i] = x
+		s.ents[i].x = x
 		return
 	}
 	if x == 0 {
 		return
 	}
-	s.procs = append(s.procs, 0)
-	copy(s.procs[i+1:], s.procs[i:])
-	s.procs[i] = pp
-	s.vals = append(s.vals, 0)
-	copy(s.vals[i+1:], s.vals[i:])
-	s.vals[i] = x
+	s.ents = append(s.ents, entry{})
+	copy(s.ents[i+1:], s.ents[i:])
+	s.ents[i] = entry{pp, x}
 }
 
 // RaiseTo raises component p to at least x.
@@ -135,8 +166,8 @@ func (s *Sparse) MaxWith(o *Sparse) {
 		}
 		return
 	}
-	for i, p := range o.procs {
-		s.RaiseTo(int(p), o.vals[i])
+	for _, e := range o.ents {
+		s.RaiseTo(int(e.p), e.x)
 	}
 }
 
@@ -153,8 +184,8 @@ func (s *Sparse) Covers(o *Sparse) bool {
 		}
 		return true
 	}
-	for i, p := range o.procs {
-		if s.Get(int(p)) < o.vals[i] {
+	for _, e := range o.ents {
+		if s.Get(int(e.p)) < e.x {
 			return false
 		}
 	}
@@ -176,10 +207,7 @@ func (s *Sparse) Copy() *Sparse {
 		c.dense = s.dense.Copy()
 		return c
 	}
-	if len(s.procs) > 0 {
-		c.procs = append([]int32(nil), s.procs...)
-		c.vals = append([]int32(nil), s.vals...)
-	}
+	c.ents = append([]entry(nil), s.ents...)
 	return c
 }
 
@@ -197,7 +225,7 @@ func (s *Sparse) NNZ() int {
 		}
 		return nnz
 	}
-	return len(s.procs)
+	return len(s.ents)
 }
 
 // Dense materializes the vector as a dense VC of dimension n.
@@ -210,8 +238,8 @@ func (s *Sparse) Dense(n int) VC {
 		copy(v, s.dense)
 		return v
 	}
-	for i, p := range s.procs {
-		v[p] = s.vals[i]
+	for _, e := range s.ents {
+		v[e.p] = e.x
 	}
 	return v
 }
@@ -229,8 +257,8 @@ func (s *Sparse) Each(f func(p int, x int32)) {
 		}
 		return
 	}
-	for i, p := range s.procs {
-		f(int(p), s.vals[i])
+	for _, e := range s.ents {
+		f(int(e.p), e.x)
 	}
 }
 

@@ -2,6 +2,7 @@ package vc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -153,5 +154,122 @@ func TestSparseFromRoundTrip(t *testing.T) {
 	}
 	if s.NNZ() != 3 {
 		t.Fatalf("NNZ = %d, want 3", s.NNZ())
+	}
+}
+
+// sparseObs lists every observable of s over dimension n: components,
+// NNZ, wire size and the Each enumeration.
+func sparseObs(s *Sparse, n int) []int {
+	obs := []int{s.NNZ(), s.WireSize()}
+	for p := 0; p < n; p++ {
+		obs = append(obs, int(s.Get(p)))
+	}
+	s.Each(func(p int, x int32) { obs = append(obs, p, int(x)) })
+	return obs
+}
+
+// TestSparseSlabMatchesNewSparse drives two slab vectors and two
+// NewSparse vectors through the same random Set/RaiseTo/MaxWith/Copy
+// sequence, with ForceDense off and on, and checks every observable
+// agrees at each step. An untouched vector carved between the two must
+// stay all-zero throughout.
+func TestSparseSlabMatchesNewSparse(t *testing.T) {
+	defer func(old bool) { ForceDense = old }(ForceDense)
+	for _, force := range []bool{false, true} {
+		ForceDense = force
+		for seed := int64(0); seed < 50; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			n := rng.Intn(12) + 2
+			var sl Slab
+			sa, pad, sb := sl.New(n), sl.New(n), sl.New(n)
+			ra, rb := NewSparse(n), NewSparse(n)
+			for step := 0; step < 80; step++ {
+				p, x := rng.Intn(n), int32(rng.Intn(8))
+				switch rng.Intn(5) {
+				case 0:
+					sa.Set(p, x)
+					ra.Set(p, x)
+				case 1:
+					sa.RaiseTo(p, x)
+					ra.RaiseTo(p, x)
+				case 2:
+					sb.Set(p, x)
+					rb.Set(p, x)
+				case 3:
+					sa.MaxWith(sb)
+					ra.MaxWith(rb)
+				case 4: // a copy is independent of its slab original
+					c := sa.Copy()
+					c.Set(p, x+1)
+					if !slices.Equal(sparseObs(sa, n), sparseObs(ra, n)) {
+						t.Fatalf("force=%v seed %d step %d: Copy changed its original", force, seed, step)
+					}
+					if !slices.Equal(sparseObs(sa.Copy(), n), sparseObs(ra, n)) {
+						t.Fatalf("force=%v seed %d step %d: Copy differs", force, seed, step)
+					}
+				}
+				if !slices.Equal(sparseObs(sa, n), sparseObs(ra, n)) || !slices.Equal(sparseObs(sb, n), sparseObs(rb, n)) {
+					t.Fatalf("force=%v seed %d step %d: slab %v/%v, heap %v/%v", force, seed, step, sa, sb, ra, rb)
+				}
+				if sa.Covers(sb) != ra.Covers(rb) || sb.Covers(sa) != rb.Covers(ra) {
+					t.Fatalf("force=%v seed %d step %d: Covers differs", force, seed, step)
+				}
+				if pad.NNZ() != 0 || pad.Dim() != n {
+					t.Fatalf("force=%v seed %d step %d: untouched neighbour is %v", force, seed, step, pad)
+				}
+			}
+		}
+	}
+}
+
+// TestSparseSlabNeighboursIsolated grows one slab vector past its two
+// carved slots and deletes from it, checking its block neighbours keep
+// their contents, and that carving vectors allocates per block, not per
+// vector.
+func TestSparseSlabNeighboursIsolated(t *testing.T) {
+	var sl Slab
+	a, b, c := sl.New(16), sl.New(16), sl.New(16)
+	for _, s := range []*Sparse{a, b, c} {
+		s.Set(1, 10)
+		s.Set(3, 30)
+	}
+	want := sparseObs(a, 16)
+	check := func(what string) {
+		t.Helper()
+		if !slices.Equal(sparseObs(a, 16), want) || !slices.Equal(sparseObs(c, 16), want) {
+			t.Fatalf("%s changed a neighbour: a=%v c=%v", what, a, c)
+		}
+	}
+	for p := 4; p < 12; p++ {
+		b.Set(p, int32(p))
+	}
+	b.Set(0, 5)
+	check("growing b")
+	if b.NNZ() != 11 || b.Get(0) != 5 || b.Get(11) != 11 {
+		t.Fatalf("grown b = %v", b)
+	}
+	d := sl.New(16)
+	d.Set(2, 2)
+	d.Set(0, 1)
+	d.Set(5, 9) // third entry: reallocates d alone
+	check("growing a fresh neighbour")
+
+	var sl2 Slab
+	e, f := sl2.New(16), sl2.New(16)
+	e.Set(2, 7)
+	e.Set(1, 6)
+	f.Set(1, 3)
+	f.Set(2, 4)
+	e.Set(1, 0) // delete the first entry: shifts within e's own slots
+	if e.NNZ() != 1 || e.Get(2) != 7 || f.Get(1) != 3 || f.Get(2) != 4 {
+		t.Fatalf("delete leaked: e=%v f=%v", e, f)
+	}
+
+	if ForceDense {
+		return
+	}
+	var sl3 Slab
+	if allocs := testing.AllocsPerRun(4*slabBlock, func() { sl3.New(1024) }); allocs != 0 {
+		t.Fatalf("Slab.New allocates %.2f times per vector, want per block", allocs)
 	}
 }
